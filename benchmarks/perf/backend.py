@@ -29,10 +29,8 @@ import time
 from typing import Dict
 
 from repro.framework.config import ExperimentConfig
-from repro.framework.executors import PoolExecutor, SharedMemoryTransport
-from repro.framework.supervision import RepTask, SupervisionPolicy, Supervisor
 from repro.framework.sweep import SweepRunner
-from repro.units import kib, mib
+from repro.units import kib
 
 
 def bench_backends(
@@ -79,83 +77,3 @@ def bench_backends(
     }
     return out
 
-
-def _payload_run_one(config, seed: int):
-    """A repetition whose result is dominated by a capture-sized payload.
-
-    The payload is ``config.file_size`` bytes, deterministic in the seed, so
-    the queue and shared-memory modes can be checked for identical results.
-    """
-    return {"seed": seed, "payload": bytes([seed % 256]) * config.file_size}
-
-
-def bench_transport(
-    reps: int = 8, workers: int = 4, runs: int = 3, payload_mib: int = 16
-) -> Dict:
-    """Result-transport overhead: queue pickling vs shared-memory segments.
-
-    Same supervised pool, same payload-heavy repetitions, two transports:
-
-    * ``queue`` — the transport disabled; results are pickled through the
-      executor's result queue (feeder thread -> pipe -> collector thread);
-    * ``shm`` — threshold 0, so every result rides a POSIX shared-memory
-      segment and only a (name, size) ref crosses the queue.
-
-    The delta is *recorded*, not gated: the win scales with payload size and
-    host pipe throughput (small payloads are at parity, which is why the
-    default ``DEFAULT_SHM_THRESHOLD`` keeps them on the queue), so check.py
-    only requires the section's results to have settled cleanly.
-    """
-    config = ExperimentConfig(
-        stack="quiche", file_size=payload_mib * mib(1), repetitions=reps
-    )
-    policy = SupervisionPolicy(retries=0, poll_interval_s=0.01)
-
-    def best_wall(enabled: bool) -> float:
-        times = []
-        for _ in range(runs):
-            executor = PoolExecutor(
-                transport=SharedMemoryTransport(threshold=0, enabled=enabled)
-            )
-            tasks = [
-                RepTask(name="bench", config=config, rep=rep, seed=rep)
-                for rep in range(reps)
-            ]
-            results = []
-            supervisor = Supervisor(
-                policy, run_fn=_payload_run_one, executor=executor
-            )
-            t0 = time.perf_counter()
-            supervisor.run(
-                tasks,
-                workers,
-                on_success=lambda task, result: results.append(result),
-                on_failure=lambda task, failure: (_ for _ in ()).throw(
-                    RuntimeError(failure.describe())
-                ),
-            )
-            times.append(time.perf_counter() - t0)
-            assert len(results) == reps
-            assert all(len(r["payload"]) == config.file_size for r in results)
-        return min(times)
-
-    walls = {"queue": best_wall(False), "shm": best_wall(True)}
-    return {
-        "reps": reps,
-        "workers": workers,
-        "runs": runs,
-        "payload_mib": payload_mib,
-        "transports": {
-            name: {
-                "wall_s": round(wall, 4),
-                "per_rep_ms": round(wall / reps * 1000, 2),
-            }
-            for name, wall in walls.items()
-        },
-        "shm_vs_queue": {
-            "saved_ms_per_rep": round(
-                (walls["queue"] - walls["shm"]) / reps * 1000, 2
-            ),
-            "speedup": round(walls["queue"] / walls["shm"], 2),
-        },
-    }

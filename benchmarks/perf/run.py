@@ -7,16 +7,9 @@ Usage::
 The output JSON holds the microbenchmark ops/sec, the end-to-end wall-clock
 and events/sec at the current ``REPRO_SCALE_MIB``, the many-flow population
 wall-clock at the current ``REPRO_FLOWS``, the execution-backend overhead
-comparison (forkserver vs spawn per-repetition cost), the result-transport
-comparison (shared memory vs queue), and — when the committed baseline
-records a pre-overhaul time for that scale — the speedup over the pre-PR
-engine.
-
-Every record carries a ``build_mode`` column (``compiled`` or ``pure``, from
-``repro.build_info()``). When this process runs the compiled build, the
-suite re-times the event-engine microbenchmark and the e2e transfer in a
-``REPRO_PURE_PYTHON=1`` subprocess and records the cross-build speedups
-under ``pure_comparison`` (``--no-compare-pure`` skips it).
+comparison (forkserver vs spawn per-repetition cost), and — when the
+committed baseline records a pre-overhaul time for that scale — the speedup
+over the pre-PR engine.
 
 The timed repetitions are real, deterministic experiment results, so they
 are also streamed into a :class:`~repro.framework.store.ResultStore`
@@ -28,13 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import subprocess
 import sys
 from pathlib import Path
 
-from benchmarks.perf.backend import bench_backends, bench_transport
+from benchmarks.perf.backend import bench_backends
 from benchmarks.perf.e2e import bench_e2e, scale_mib
 from benchmarks.perf.manyflow import bench_manyflow, census_totals, flow_count
 from benchmarks.perf.microbench import run_all
@@ -42,34 +33,6 @@ from repro import build_info
 from repro.framework.store import ResultStore
 
 BASELINE_PATH = Path(__file__).parent / "baseline.json"
-
-#: Re-timed in the pure-build subprocess for the cross-build comparison.
-_PURE_PROBE = """\
-import json
-from benchmarks.perf.e2e import bench_e2e
-from benchmarks.perf.microbench import bench_event_throughput
-from repro import build_info
-
-assert build_info()["mode"] == "pure", build_info()
-print(json.dumps({
-    "event_throughput": bench_event_throughput(repeats=%d),
-    "e2e": bench_e2e(runs=%d),
-}))
-"""
-
-
-def _pure_comparison(repeats: int, runs: int) -> dict | None:
-    """Time the hot path under REPRO_PURE_PYTHON=1 in a subprocess."""
-    env = dict(os.environ)
-    env["REPRO_PURE_PYTHON"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", _PURE_PROBE % (repeats, runs)],
-        capture_output=True, text=True, env=env,
-    )
-    if proc.returncode != 0:
-        print(f"perf: pure-build probe failed:\n{proc.stderr}", file=sys.stderr)
-        return None
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,14 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend-runs", type=int, default=3,
         help="repetitions of the backend-overhead sweep (0 skips the section)",
-    )
-    parser.add_argument(
-        "--transport-runs", type=int, default=3,
-        help="repetitions of the result-transport sweep (0 skips the section)",
-    )
-    parser.add_argument(
-        "--no-compare-pure", action="store_true",
-        help="skip the REPRO_PURE_PYTHON=1 cross-build comparison",
     )
     parser.add_argument(
         "--store", default="perf-session.sqlite",
@@ -142,20 +97,12 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 return 1
     store = ResultStore(args.store) if args.store else None
-    print(f"perf: build mode {build_mode}")
 
     print(f"perf: microbenchmarks (best of {args.repeats}) ...")
     micro = run_all(repeats=args.repeats)
     for name, rec in micro.items():
         print(f"  {name:24s} {rec['ops_per_sec']:>14,.0f} ops/s")
     rearm = micro.get("timer_rearm")
-    if rearm:
-        print(
-            f"  timer wheel vs lazy-cancel heap: "
-            f"{rearm['wheel_speedup']:.2f}x "
-            f"({rearm['heap_ops_per_sec']:,.0f} ops/s with "
-            "REPRO_TIMER_WHEEL=0)"
-        )
 
     scale = scale_mib()
     print(f"perf: end-to-end transfer at {scale:g} MiB (best of {args.runs}) ...")
@@ -186,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.census_flows > 0:
-        print(f"perf: event census at {args.census_flows} flows (pure engine) ...")
+        print(f"perf: event census at {args.census_flows} flows ...")
         census = census_totals(args.census_flows, churn=True)
         print(
             f"  {census['scheduled']} scheduled, {census['fired']} fired, "
@@ -228,38 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             f"ms/rep saved ({backend['forkserver_vs_spawn']['speedup']:.2f}x)"
         )
         payload["backend"] = backend
-
-    if args.transport_runs > 0:
-        print(f"perf: result-transport sweep (best of {args.transport_runs}) ...")
-        transport = bench_transport(runs=args.transport_runs)
-        for name, rec in transport["transports"].items():
-            print(f"  {name:12s} wall {rec['wall_s']:.3f}s  {rec['per_rep_ms']:.2f} ms/rep")
-        print(
-            f"  shm vs queue at {transport['payload_mib']} MiB payloads: "
-            f"{transport['shm_vs_queue']['saved_ms_per_rep']:+.2f} ms/rep saved "
-            f"({transport['shm_vs_queue']['speedup']:.2f}x)"
-        )
-        payload["transport"] = transport
-
-    if build_mode == "compiled" and not args.no_compare_pure:
-        print("perf: re-timing hot path under REPRO_PURE_PYTHON=1 ...")
-        pure = _pure_comparison(repeats=args.repeats, runs=min(args.runs, 3))
-        if pure is not None:
-            micro_ratio = (
-                micro["event_throughput"]["ops_per_sec"]
-                / pure["event_throughput"]["ops_per_sec"]
-            )
-            e2e_ratio = pure["e2e"]["wall_s"] / e2e["wall_s"]
-            payload["pure_comparison"] = {
-                "event_throughput_ops_per_sec": pure["event_throughput"]["ops_per_sec"],
-                "e2e_wall_s": pure["e2e"]["wall_s"],
-                "event_throughput_speedup": round(micro_ratio, 2),
-                "e2e_speedup": round(e2e_ratio, 2),
-            }
-            print(
-                f"  event_throughput: {micro_ratio:.2f}x over pure; "
-                f"e2e@{e2e['scale_mib']:g}MiB: {e2e_ratio:.2f}x"
-            )
 
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())

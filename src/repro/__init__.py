@@ -12,7 +12,6 @@ Quick start::
     print(summary.describe())
 """
 
-from repro._build import build_info
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig, NetworkConfig
 from repro.framework.experiment import Experiment, ExperimentResult, run_experiment
@@ -31,6 +30,12 @@ from repro.metrics import (
 )
 
 __version__ = "1.0.0"
+
+
+def build_info() -> dict:
+    """The build this process runs; there is only the pure-Python one."""
+    return {"mode": "pure"}
+
 
 __all__ = [
     "build_info",

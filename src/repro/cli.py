@@ -965,34 +965,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scen_p = sub.add_parser("scenarios", help="list the paper's scenarios")
     scen_p.set_defaults(func=_cmd_scenarios)
-
-    build_p = sub.add_parser(
-        "build-info",
-        help="show whether this process runs the compiled or pure build",
-    )
-    build_p.add_argument(
-        "--json", action="store_true", help="machine-readable build_info()"
-    )
-    build_p.set_defaults(func=_cmd_build_info)
     return parser
-
-
-def _cmd_build_info(args: argparse.Namespace) -> int:
-    from repro import _build
-
-    if getattr(args, "json", False):
-        print(json.dumps(_build.build_info(), indent=1))
-    else:
-        print(_build.describe())
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # ``python -m repro --build-info`` is the documented quick check; map the
-    # flag spelling onto the subcommand.
-    argv = ["build-info" if a == "--build-info" else a for a in argv]
     parser = build_parser()
     args = parser.parse_args(argv)
     # `--sf` flips rollback off; stock behaviour is rollback on (None keeps

@@ -14,13 +14,20 @@ class SimulationError(ReproError):
 class ProtocolError(ReproError):
     """A QUIC/TCP protocol invariant was violated."""
 
+    #: RFC 9000 §20.1 code a connection closes with when peer input raises this.
+    error_code = 0xA  # PROTOCOL_VIOLATION
+
 
 class EncodingError(ProtocolError):
     """Wire encoding or decoding failed."""
 
+    error_code = 0x7  # FRAME_ENCODING_ERROR
+
 
 class FlowControlError(ProtocolError):
     """A peer exceeded an advertised flow-control limit."""
+
+    error_code = 0x3  # FLOW_CONTROL_ERROR
 
 
 class ConfigError(ReproError):

@@ -210,9 +210,6 @@ class Supervisor:
         self._quarantined: set = set()
         self._queue: deque = deque()
         self._suspects: deque = deque()
-        #: ``run_fn`` wrapped by the executor's result transport (set per
-        #: pooled run; the serial path never wraps).
-        self._pooled_run_fn: Callable[[ExperimentConfig, int], Any] = run_fn
 
     # -- public entry ------------------------------------------------------
 
@@ -280,10 +277,6 @@ class Supervisor:
     def _run_pool(self, tasks, workers, on_success, on_failure) -> None:
         queue = self._queue = deque(tasks)
         suspects = self._suspects = deque()
-        # Local pooled backends route large result payloads through shared
-        # memory instead of the result queue (see executors.py); the wrap is
-        # a no-op for backends without a transport.
-        self._pooled_run_fn = self.executor.wrap_run_fn(self.run_fn)
         pool = self.executor.make_pool(workers)
         flights: Dict[Any, _Flight] = {}
         try:
@@ -308,7 +301,7 @@ class Supervisor:
                     flight = flights.pop(future)
                     flight.task.elapsed_s += time.monotonic() - flight.started
                     try:
-                        result = self.executor.resolve_result(future.result())
+                        result = future.result()
                         if self.validate_fn is not None:
                             self.validate_fn(result)
                     except BrokenProcessPool:
@@ -334,9 +327,6 @@ class Supervisor:
                 pool = self._reap_timeouts(pool, workers, flights, on_failure)
         finally:
             self._kill_pool(pool)
-            # Sweep shared-memory segments orphaned by killed/crashed
-            # workers; a no-op (0) for transport-less backends.
-            self.executor.cleanup_transport()
 
     def _absorb_crash(self, crashed: List[_Flight], on_failure) -> None:
         """Attribute a dead pool to its culprit.
@@ -410,7 +400,7 @@ class Supervisor:
         task.attempts += 1
         now = time.monotonic()
         try:
-            future = pool.submit(self._pooled_run_fn, task.config, task.seed)
+            future = pool.submit(self.run_fn, task.config, task.seed)
         except BrokenProcessPool:
             # The pool died between collections; don't charge the task.
             task.attempts -= 1

@@ -19,11 +19,12 @@ def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly fair, 1/n = one flow takes all."""
     if not values:
         raise ValueError("fairness of an empty allocation")
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0:
+    peak = max(values)
+    if peak == 0:
         return 1.0
-    return total * total / (len(values) * squares)
+    # Scaled to (0, 1] so squaring can neither underflow nor overflow.
+    scaled = [v / peak for v in values]
+    return sum(scaled) ** 2 / (len(values) * sum(v * v for v in scaled))
 
 
 def throughput_ratio_matrix(goodputs: Mapping[str, float]) -> Dict[str, Dict[str, float]]:

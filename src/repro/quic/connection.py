@@ -20,14 +20,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cc.base import CongestionController
 from repro.cc.newreno import NewReno
-from repro.errors import ProtocolError
+from repro.errors import EncodingError, ProtocolError
 from repro.quic.ack import AckManager
 from repro.quic.flowcontrol import RecvLimit, SendLimit
 from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
-    DataBlockedFrame,
     Frame,
     HandshakeDoneFrame,
     MaxDataFrame,
@@ -45,7 +44,6 @@ from repro.quic.packet import (
 from repro.quic.recovery import LossRecovery, SentPacket
 from repro.quic.rtt import RttEstimator
 from repro.quic.stream import DataSource, RecvStream, SendStream
-from repro.quic.varint import varint_len
 from repro.units import mib, ms
 
 
@@ -259,12 +257,11 @@ class Connection:
         ``ecn`` is the IP ECN codepoint (0 Not-ECT, 1 ECT(1), 2 ECT(0),
         3 CE). Undecodable datagrams are counted and dropped, like a real
         endpoint discarding packets that fail authentication or parsing.
+        Frames that break a protocol rule close with the error's code.
         """
         if type(data) is QuicPacket:
             packet = data
         else:
-            from repro.errors import EncodingError
-
             try:
                 packet = QuicPacket.decode(data)
             except EncodingError:
@@ -278,8 +275,11 @@ class Connection:
             self.ecn_received[2] += 1
         self.packets_received += 1
         self.ack_mgr.record(packet.packet_number, packet.ack_eliciting, now)
-        for frame in packet.frames:
-            self._process_frame(frame, now)
+        try:
+            for frame in packet.frames:
+                self._process_frame(frame, now)
+        except ProtocolError as exc:
+            self.close(exc.error_code, str(exc).encode())
 
     def _process_frame(self, frame: Frame, now: int) -> None:
         if isinstance(frame, AckFrame):

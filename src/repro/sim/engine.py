@@ -15,32 +15,31 @@ allocation. The call sites that cancel or re-arm events go through
 is None`` sentinel is how the run loop tells the two entry shapes apart
 without an isinstance check.
 
-Timer wheel (``REPRO_TIMER_WHEEL=0`` disables it; results are bit-identical
-either way):
+Timer wheel:
 
 * L0: 256 slots of 2^20 ns (~1.05 ms) — covers ~268 ms ahead.
 * L1: 64 slots of 2^28 ns (~268 ms) — covers ~17.2 s ahead.
 * Overflow list beyond that, rescanned once per L1 wrap.
 
 Admission appends to a slot list in O(1) instead of paying an O(log n)
-heap sift for every far-future deadline. A slot is *poured* into the heap
-only when the clock is about to enter it (pour-before-trust: the heap head
-is never dispatched while an unpoured slot could still precede it), so
-events within one slot are heapified as a single batch — this is what makes
-thousands of per-flow pacing/ACK/PTO deadlines cheap. Because the heap
-performs the final ``(time, seq)`` ordering, wheel-on and wheel-off runs
-fire events in exactly the same order.
+heap sift for every far-future deadline. Entries before the pour boundary
+go straight to the heap; the rest wait on the wheel, so every heap entry
+precedes every wheel entry. A slot is *poured* into the heap only when the
+heap runs empty, so events within one slot are heapified as a single
+batch — this is what makes thousands of per-flow pacing/ACK/PTO deadlines
+cheap. Because the heap performs the final ``(time, seq)`` ordering, events
+fire in exactly the order a plain heap would give.
 
 Soft cancel: cancelling or re-arming never searches the calendar. Each
 cancellable entry records the owner's generation (the global ``seq`` it was
 armed with); :meth:`EventHandle.cancel` / :meth:`Timer.cancel` /
 re-arming simply bump the owner's ``_live_seq`` so stale entries no longer
-match and are dropped for free at pour or pop time.
+match and are dropped for free at pour or pop time, each one reported to
+:meth:`Simulator._discard`.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Optional
 
@@ -150,12 +149,9 @@ class Simulator:
         sim.run(until=seconds(10))
     """
 
-    #: Bound at class definition so the build-mode rebind at module tail
-    #: (which shadows the module-global ``EventHandle``/``Timer`` with the
-    #: C classes) cannot swap the types out from under the pure
-    #: implementation.
-    _handle_cls = EventHandle
-    _timer_cls = Timer
+    #: Run every event through :meth:`step`, even without ``max_events``;
+    #: set by subclasses that observe each dispatch.
+    _stepwise = False
 
     def __init__(self) -> None:
         self._now = 0
@@ -164,9 +160,8 @@ class Simulator:
         self._running = False
         self.events_processed = 0
         # Timer wheel state. `_cur0` is the absolute index of the next L0
-        # slot to pour; every calendar entry with time < (_cur0 << 20) is
-        # guaranteed to be in the heap (the pour boundary).
-        self._wheel_on = os.environ.get("REPRO_TIMER_WHEEL", "1") != "0"
+        # slot to pour: every entry with time < (_cur0 << 20) is in the heap
+        # and every later one on the wheel (the pour boundary).
         self._l0: list[list] = [[] for _ in range(256)]
         self._l1: list[list] = [[] for _ in range(64)]
         self._overflow: list = []
@@ -185,7 +180,7 @@ class Simulator:
         otherwise the cheapest wheel level that can hold it."""
         slot0 = time_ns >> _L0_BITS
         cur0 = self._cur0
-        if not self._wheel_on or slot0 < cur0:
+        if slot0 < cur0:
             _heappush(self._heap, (time_ns, seq, fn, args))
             return
         if self._wheel_count == 0:
@@ -241,11 +236,16 @@ class Simulator:
                 # args-is-None entries are soft-cancellable: the owner's
                 # generation must still match the entry's seq.
                 if entry[3] is None and entry[2]._live_seq != entry[1]:
+                    self._discard(entry[2])
                     continue
                 _heappush(heap, entry)
             self._wheel_count -= len(slot)
             self._l0[cur0 & 255] = []
         self._cur0 = cur0 + 1
+
+    def _discard(self, owner) -> None:
+        """Hook: a stale soft-cancelled entry of ``owner`` (an
+        :class:`EventHandle` or :class:`Timer`) left the calendar unfired."""
 
     # -- scheduling -----------------------------------------------------
 
@@ -295,7 +295,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = self._handle_cls(time_ns, seq, fn, args)
+        handle = EventHandle(time_ns, seq, fn, args)
         self._admit(time_ns, seq, handle, None)
         return handle
 
@@ -305,7 +305,7 @@ class Simulator:
         Allocate once per recurring deadline (RTO, delayed-ACK, pacer,
         process wake-up) and re-arm it for free ever after.
         """
-        return self._timer_cls(self, fn, args)
+        return Timer(self, fn, args)
 
     # -- introspection --------------------------------------------------
 
@@ -336,12 +336,9 @@ class Simulator:
                 entry = heap[0]
                 if entry[3] is None and entry[2]._live_seq != entry[1]:
                     _heappop(heap)
+                    self._discard(entry[2])
                     continue
-                break
-            if heap and (
-                self._wheel_count == 0 or (heap[0][0] >> _L0_BITS) < self._cur0
-            ):
-                return heap[0][0]
+                return entry[0]
             if self._wheel_count:
                 self._pour_one()
                 continue
@@ -349,26 +346,17 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next live event. Returns False if there was none."""
-        heap = self._heap
-        while True:
-            if heap and (
-                self._wheel_count == 0 or (heap[0][0] >> _L0_BITS) < self._cur0
-            ):
-                time_ns, seq, fn, args = _heappop(heap)
-                if args is None:  # soft-cancellable: fn is the handle/timer
-                    if fn._live_seq != seq:
-                        continue
-                    fn._live_seq = -1
-                    args = fn.args
-                    fn = fn.fn
-                self._now = time_ns
-                self.events_processed += 1
-                fn(*args)
-                return True
-            if self._wheel_count:
-                self._pour_one()
-                continue
+        if self.peek_time() is None:
             return False
+        time_ns, _, fn, args = _heappop(self._heap)
+        if args is None:  # soft-cancellable: fn is the handle/timer
+            fn._live_seq = -1
+            args = fn.args
+            fn = fn.fn
+        self._now = time_ns
+        self.events_processed += 1
+        fn(*args)
+        return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run events until the calendar is empty, ``until`` is reached, or
@@ -377,10 +365,11 @@ class Simulator:
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the calendar empties earlier.
 
-        One inlined loop: the head entry is inspected once and popped once
-        per event (stale soft-cancelled entries are skipped in the same
-        pass); unpoured wheel slots are poured exactly when the head could
-        otherwise overtake them.
+        Without ``max_events`` this is the experiment hot loop, inlined:
+        the head entry is inspected once and popped once per event (stale
+        soft-cancelled entries are skipped in the same pass), and the next
+        wheel slot is poured whenever the heap runs empty. With a budget (or
+        :attr:`_stepwise`), events go one at a time through :meth:`step`.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -389,15 +378,12 @@ class Simulator:
         pop = _heappop
         processed = 0
         try:
-            if max_events is None:
-                # The experiment hot loop: no per-event budget checks, and
-                # the event counter is folded in once on exit.
+            if max_events is None and not self._stepwise:
+                # No per-event budget checks; the event counter is folded in
+                # once on exit.
                 try:
                     while True:
-                        if heap and (
-                            self._wheel_count == 0
-                            or (heap[0][0] >> _L0_BITS) < self._cur0
-                        ):
+                        if heap:
                             entry = heap[0]
                             if until is not None and entry[0] > until:
                                 break
@@ -405,6 +391,7 @@ class Simulator:
                             time_ns, seq, fn, args = entry
                             if args is None:  # soft-cancellable entry
                                 if fn._live_seq != seq:
+                                    self._discard(fn)
                                     continue
                                 fn._live_seq = -1
                                 args = fn.args
@@ -419,58 +406,15 @@ class Simulator:
                 finally:
                     self.events_processed += processed
             else:
-                while True:
-                    if heap and (
-                        self._wheel_count == 0
-                        or (heap[0][0] >> _L0_BITS) < self._cur0
-                    ):
-                        if processed >= max_events:
-                            return
-                        entry = heap[0]
-                        if until is not None and entry[0] > until:
-                            break
-                        pop(heap)
-                        time_ns, seq, fn, args = entry
-                        if args is None:  # soft-cancellable entry
-                            if fn._live_seq != seq:
-                                continue
-                            fn._live_seq = -1
-                            args = fn.args
-                            fn = fn.fn
-                        self._now = time_ns
-                        self.events_processed += 1
-                        processed += 1
-                        fn(*args)
-                    elif self._wheel_count:
-                        self._pour_one()
-                    else:
+                while (time_ns := self.peek_time()) is not None:
+                    if max_events is not None and processed >= max_events:
+                        return
+                    if until is not None and time_ns > until:
                         break
+                    self.step()
+                    processed += 1
             if until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False
 
-
-# -- build-mode selection ---------------------------------------------------
-#
-# When the compiled core is importable (and REPRO_PURE_PYTHON is unset), the
-# C implementations shadow the pure classes above. The pure classes stay
-# importable under ``Pure*`` names for the fallback/equivalence tests; both
-# implementations are bit-identical by contract (pinned by the golden
-# fingerprints and tests/framework/test_build_modes.py).
-
-PureSimulator = Simulator
-PureEventHandle = EventHandle
-PureTimer = Timer
-
-from repro import _build as _build  # noqa: E402 - deliberate tail import
-
-_core = _build.compiled_core()
-if _core is not None:
-    Simulator = _core.Simulator  # type: ignore[misc]
-    EventHandle = _core.EventHandle  # type: ignore[misc]
-    Timer = _core.Timer  # type: ignore[misc]
-    _build.register("repro.sim.engine", "compiled")
-else:
-    _build.register("repro.sim.engine", "pure")
-del _core

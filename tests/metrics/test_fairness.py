@@ -1,7 +1,7 @@
 """Jain fairness index and the QUICbench-style competition helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.metrics.fairness import (
     beats_relation,
@@ -33,6 +33,7 @@ def test_empty_rejected():
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=20))
+@example([1.26e-161, 1.26e-161])  # squares underflow without scaling
 def test_bounds(values):
     idx = jain_index(values)
     assert 1 / len(values) - 1e-9 <= idx <= 1 + 1e-9

@@ -1,11 +1,12 @@
 """Timer-wheel scheduling and soft-cancel timers.
 
-The wheel is a pure scheduling-cost optimization: event order must be
-bit-identical with the wheel disabled (``REPRO_TIMER_WHEEL=0``) and across
-the pure/compiled builds. The property test drives a seeded random mix of
-plain events, cancellable handles, and re-armed timers across all three
-wheel levels (L0, L1, overflow) and requires the exact same fire sequence
-from every engine variant.
+The wheel is a pure scheduling-cost optimization: events must fire in
+exactly the order of a plain ``(time, seq)`` calendar. The property test
+drives a seeded random mix of plain events, ``call_soon``, cancellable
+handles, and re-armed timers across all wheel levels (L0, L1, overflow)
+and compares the fire sequence with an in-test reference. Every test runs
+on the plain engine and on the census engine, which carries its own copy of
+the pour and dispatch loops.
 """
 
 from __future__ import annotations
@@ -15,88 +16,137 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import PureSimulator, Simulator
+from repro.sim.census import CensusSimulator
+from repro.sim.engine import Simulator
 from repro.units import ms, seconds
 
+ENGINES = [("default", Simulator), ("census", CensusSimulator)]
 
-def _engines(monkeypatch=None):
-    """Engine constructors to cross-check: compiled (when present), pure,
-    and pure with the wheel disabled."""
-    variants = [("default", Simulator)]
-    if Simulator is not PureSimulator:
-        variants.append(("pure", PureSimulator))
-    return variants
+#: Deadlines at least this far ahead go past the L1 level (64 slots of
+#: 2^28 ns, ~17.2 s) onto the overflow list.
+_L1_HORIZON_NS = 64 << 28
 
 
-def _random_workload(sim, rng, fired):
-    """Schedule a seeded mix that exercises every admission path."""
-    timers = [
-        sim.timer(lambda i=i: fired.append(("timer", i, sim.now))) for i in range(8)
-    ]
-    handles = []
+class _ReferenceCalendar:
+    """Drives a seeded workload on an engine and records, independently of
+    the engine, what it should fire.
 
-    def noteworthy(tag):
-        fired.append((tag, sim.now))
+    Every admission gets the key ``(time, seq)``, with ``seq`` counting
+    admissions in scheduling order. An arm is dropped when it is cancelled
+    or superseded by a re-arm before its key comes up, i.e. by a callback
+    whose own key is smaller. The reference fire order is the surviving
+    keys, sorted.
+    """
 
-    # Spread deadlines across L0 (~ms), L1 (~hundreds of ms), and overflow
-    # (tens of seconds) territory, from a moving "now".
-    def spray(depth):
-        if depth == 0:
-            return
-        for _ in range(rng.randrange(1, 5)):
-            choice = rng.randrange(6)
-            delay = rng.choice(
-                [rng.randrange(0, 2_000_000),        # L0 horizon
-                 rng.randrange(0, 300_000_000),      # L1 horizon
-                 rng.randrange(0, 30 * 10**9)]       # overflow
-            )
-            if choice == 0:
-                sim.schedule(delay, noteworthy, f"plain-{depth}")
-            elif choice == 1:
-                handles.append(
-                    sim.schedule_cancellable(delay, noteworthy, f"canc-{depth}")
+    def __init__(self, sim, rng: random.Random, timers: int = 8):
+        self.sim = sim
+        self.rng = rng
+        self.seq = 0
+        self.current = (0, -1)  # key of the running callback; set-up first
+        self.keys = []
+        self.dropped = set()
+        self.far = 0
+        self.fired = []  # (key, sim.now) per engine dispatch
+        self.handles = []  # (EventHandle, key)
+        self.timers = [sim.timer(self._timer_fired, i) for i in range(timers)]
+        self.timer_keys = [None] * timers
+        self.anchors = [rng.randrange(0, 60 * 10**9) for _ in range(16)]
+
+    # -- admissions ------------------------------------------------------
+
+    def _admit(self, delay: int):
+        key = (self.current[0] + delay, self.seq)
+        self.seq += 1
+        self.keys.append(key)
+        self.far += delay >= _L1_HORIZON_NS
+        return key
+
+    def _drop(self, key) -> None:
+        if key is not None and key > self.current:
+            self.dropped.add(key)
+
+    def _delay(self) -> int:
+        rng, now = self.rng, self.current[0]
+        ahead = [a for a in self.anchors if a >= now]
+        if ahead and rng.randrange(2):
+            # Crowd deadlines around shared instants, reached from every
+            # level: an entry poured a slot late is overtaken by a neighbour.
+            return max(0, rng.choice(ahead) + rng.randrange(-3 << 20, 3 << 20) - now)
+        return rng.choice([
+            rng.randrange(0, 4) << 20,          # same-instant collisions
+            rng.randrange(0, 2_000_000),        # L0
+            rng.randrange(0, 300_000_000),      # L0/L1 boundary
+            rng.randrange(0, 60 * 10**9),       # L1 and overflow
+        ])
+
+    def spray(self, depth: int) -> None:
+        sim, rng = self.sim, self.rng
+        for _ in range(rng.randrange(2, 7)):
+            op = rng.randrange(8)
+            delay = self._delay()
+            if op == 0:
+                sim.schedule(delay, self._event, self._admit(delay), depth)
+            elif op == 1:
+                key = self._admit(delay)
+                sim.schedule_at(key[0], self._event, key, depth)
+            elif op == 2:
+                sim.call_soon(self._event, self._admit(0), depth)
+            elif op == 3:
+                key = self._admit(delay)
+                self.handles.append(
+                    (sim.schedule_cancellable(delay, self._event, key, depth), key)
                 )
-            elif choice == 2 and handles:
-                handles.pop(rng.randrange(len(handles))).cancel()
-            elif choice == 3:
-                timers[rng.randrange(len(timers))].schedule(delay)
-            elif choice == 4:
-                timers[rng.randrange(len(timers))].cancel()
-            else:
-                # Re-schedule from inside a callback: the recursive case.
-                sim.schedule(delay, spray, depth - 1)
+            elif op == 4 and self.handles:
+                handle, key = self.handles.pop(rng.randrange(len(self.handles)))
+                handle.cancel()
+                self._drop(key)
+            elif op in (5, 6):
+                i = rng.randrange(len(self.timers))
+                self._drop(self.timer_keys[i])
+                key = self.timer_keys[i] = self._admit(delay)
+                if op == 5:
+                    self.timers[i].schedule(delay)
+                else:
+                    self.timers[i].schedule_at(key[0])
+            elif op == 7:
+                i = rng.randrange(len(self.timers))
+                self._drop(self.timer_keys[i])
+                self.timer_keys[i] = None
+                self.timers[i].cancel()
 
-    spray(4)
-    return timers
+    # -- callbacks -------------------------------------------------------
+
+    def _event(self, key, depth: int) -> None:
+        self.fired.append((key, self.sim.now))
+        self.current = key
+        if depth:
+            self.spray(depth - 1)
+
+    def _timer_fired(self, i: int) -> None:
+        self._event(self.timer_keys[i], 0)
+
+    def expected(self):
+        return sorted(k for k in self.keys if k not in self.dropped)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-def test_wheel_and_heap_fire_identically(seed, monkeypatch):
-    """Seeded random schedule/cancel/re-arm: wheel on, wheel off, and the
-    pure engine all produce the exact same fire sequence."""
-    sequences = []
-    for wheel in ("1", "0"):
-        monkeypatch.setenv("REPRO_TIMER_WHEEL", wheel)
-        for _name, engine_cls in _engines():
-            sim = engine_cls()
-            fired = []
-            _random_workload(sim, random.Random(seed), fired)
-            sim.run()
-            assert sim.pending_live == 0
-            sequences.append(fired)
-    reference = sequences[0]
-    assert reference, "workload fired nothing"
-    assert all(seq == reference for seq in sequences)
+def test_wheel_and_heap_fire_identically(seed):
+    """Seeded random schedule/call_soon/cancel/re-arm: the engine fires the
+    reference's ``(time, seq)`` order, with the clock at each key's time."""
+    for _name, engine_cls in ENGINES:
+        sim = engine_cls()
+        ref = _ReferenceCalendar(sim, random.Random(seed))
+        for _ in range(6):
+            ref.spray(5)
+        sim.run()
+        assert ref.far, "workload never reached the overflow list"
+        assert ref.dropped, "workload never cancelled or superseded a live arm"
+        assert [key for key, _ in ref.fired] == ref.expected()
+        assert all(now == key[0] for key, now in ref.fired)
+        assert sim.pending_live == 0
 
 
-def test_wheel_disabled_via_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TIMER_WHEEL", "0")
-    assert PureSimulator()._wheel_on is False
-    monkeypatch.delenv("REPRO_TIMER_WHEEL")
-    assert PureSimulator()._wheel_on is True
-
-
-@pytest.mark.parametrize("_name,engine_cls", _engines())
+@pytest.mark.parametrize("_name,engine_cls", ENGINES)
 def test_far_future_events_survive_cascade(_name, engine_cls):
     """Events beyond the L1 horizon (overflow) still fire, in order."""
     sim = engine_cls()
@@ -108,7 +158,7 @@ def test_far_future_events_survive_cascade(_name, engine_cls):
     assert sim.now == seconds(300)
 
 
-@pytest.mark.parametrize("_name,engine_cls", _engines())
+@pytest.mark.parametrize("_name,engine_cls", ENGINES)
 class TestTimer:
     def test_rearm_supersedes(self, _name, engine_cls):
         sim = engine_cls()
@@ -170,7 +220,7 @@ class TestTimer:
         assert sim.pending == 0
 
 
-@pytest.mark.parametrize("_name,engine_cls", _engines())
+@pytest.mark.parametrize("_name,engine_cls", ENGINES)
 def test_handle_cancelled_after_fire(_name, engine_cls):
     """EventHandle.cancelled is True once the event can no longer fire —
     including after it fired."""
