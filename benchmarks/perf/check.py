@@ -8,7 +8,9 @@ Usage::
 Fails (exit 1) when any microbenchmark's ops/sec drops more than
 ``tolerance`` below the baseline, or the end-to-end wall-clock at a matching
 scale — or the many-flow population wall-clock at a matching flow count —
-exceeds the baseline by more than ``tolerance``. The default 30 %
+exceeds the baseline by more than ``tolerance``, or the result digest is
+less than ``DIGEST_MIN_SPEEDUP`` times faster than the formula it
+replaced. The default 30 %
 margin absorbs host-to-host variation on CI runners; a real hot-path
 regression (a reintroduced per-event allocation, an accidental O(n log n)
 re-sort) moves these numbers far more than that.
@@ -21,6 +23,11 @@ import json
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).parent / "baseline.json"
+
+#: Floor on ``micro/result_digest``'s same-process speedup over the reference
+#: digest formula (measured ~13x on a 2-vCPU VM).
+DIGEST_MIN_SPEEDUP = 5.0
+
 
 def compare(result: dict, baseline: dict, tolerance: float) -> list[str]:
     failures: list[str] = []
@@ -35,6 +42,13 @@ def compare(result: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"micro/{name}: {rec['ops_per_sec']:,.0f} ops/s is more than "
                 f"{tolerance:.0%} below baseline {base['ops_per_sec']:,.0f}"
             )
+    digest = result.get("micro", {}).get("result_digest")
+    if digest and digest["speedup"] < DIGEST_MIN_SPEEDUP:
+        # A ratio of two timings in one process: host speed cancels out.
+        failures.append(
+            f"micro/result_digest: {digest['speedup']:.1f}x over the asdict + "
+            f"json.dumps reference, below the {DIGEST_MIN_SPEEDUP:g}x floor"
+        )
     e2e = result.get("e2e")
     base_e2e = baseline.get("e2e", {})
     entry = base_e2e.get(str(e2e["scale_mib"])) if e2e else None

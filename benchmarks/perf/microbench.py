@@ -8,16 +8,23 @@ cost, so absolute size barely matters beyond amortizing setup.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import time
+from dataclasses import asdict
 from typing import Dict
 
 from benchmarks.perf import best_of
 
+from repro.framework.config import ExperimentConfig
+from repro.framework.experiment import run_experiment
 from repro.kernel.qdisc.fq import FqQdisc
 from repro.metrics.gaps import Distribution, inter_packet_gaps
 from repro.net.packet import Datagram
 from repro.net.tap import Sniffer
 from repro.sim.engine import Simulator
+from repro.units import mib
 
 
 def bench_event_throughput(n: int = 200_000, repeats: int = 3) -> Dict:
@@ -179,6 +186,66 @@ def bench_gap_analysis(n: int = 200_000, repeats: int = 3) -> Dict:
     return best_of(run, repeats)
 
 
+def _reference_fingerprint(result) -> str:
+    """``ExperimentResult.fingerprint()`` as first written: ``asdict`` of the
+    config and every capture record, then one ``json.dumps`` of the payload.
+    The streamed digest must produce exactly these bytes."""
+    payload = {
+        "config": asdict(result.config),
+        "seed": result.seed,
+        "completed": result.completed,
+        "duration_ns": result.duration_ns,
+        "goodput_mbps": result.goodput_mbps,
+        "dropped": result.dropped,
+        "injected_drops": result.injected_drops,
+        "server_records": [asdict(r) for r in result.server_records],
+        "expected_send_log": result.expected_send_log,
+        "cwnd_trace": result.cwnd_trace,
+        "queue_trace": result.queue_trace,
+        "qdisc_stats": result.qdisc_stats,
+        "server_stats": result.server_stats,
+        "object_completion_ns": result.object_completion_ns,
+        "impairment_stats": result.impairment_stats,
+    }
+    encoded = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def bench_result_digest(repeats: int = 3, rounds: int = 10) -> Dict:
+    """``ExperimentResult.fingerprint()`` of one fixed 4 MiB result (~3.6 k
+    capture records), against the reference formula it replaced.
+
+    One "op" is one digest. ``speedup`` is the reference's best time over
+    the digest's best time, both measured in this process on the same
+    result, so it does not depend on how fast the host is; ``check.py``
+    gates it.
+    """
+    # A fresh (equal) config object per digest, as a sweep sees for every
+    # result that comes back from a worker or the cache.
+    result = run_experiment(ExperimentConfig(file_size=mib(4)), seed=1)
+    configs = [ExperimentConfig(file_size=mib(4)) for _ in range(rounds)]
+    expected = _reference_fingerprint(result)
+
+    def digest() -> int:
+        for config in configs:
+            result.config = config
+            if result.fingerprint() != expected:
+                raise AssertionError("streamed digest differs from the reference")
+        return rounds
+
+    record = best_of(digest, repeats)
+    reference = min(_timed(_reference_fingerprint, result) for _ in range(repeats))
+    record["reference_seconds"] = round(reference, 6)
+    record["speedup"] = round(reference * rounds / record["seconds"], 2)
+    return record
+
+
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
 def run_all(repeats: int = 3) -> Dict[str, Dict]:
     return {
         "event_throughput": bench_event_throughput(repeats=repeats),
@@ -186,4 +253,5 @@ def run_all(repeats: int = 3) -> Dict[str, Dict]:
         "qdisc_enqueue_dequeue": bench_qdisc(repeats=repeats),
         "capture_append": bench_capture_append(repeats=repeats),
         "gap_analysis": bench_gap_analysis(repeats=repeats),
+        "result_digest": bench_result_digest(repeats=repeats),
     }

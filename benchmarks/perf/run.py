@@ -102,6 +102,11 @@ def main(argv: list[str] | None = None) -> int:
     micro = run_all(repeats=args.repeats)
     for name, rec in micro.items():
         print(f"  {name:24s} {rec['ops_per_sec']:>14,.0f} ops/s")
+    digest = micro["result_digest"]
+    print(
+        f"  result_digest speedup vs asdict + json.dumps reference "
+        f"({digest['reference_seconds'] * 1e3:.1f} ms): {digest['speedup']:.1f}x"
+    )
     rearm = micro.get("timer_rearm")
 
     scale = scale_mib()

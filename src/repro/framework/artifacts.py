@@ -7,11 +7,11 @@ the evaluation metrics without re-running the simulation.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
+from repro.framework.digest import config_json
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationResult
 from repro.framework.runner import RunSummary
@@ -20,7 +20,17 @@ from repro.metrics.trains import packets_by_train_length
 from repro.units import us
 
 
-def result_to_dict(result: ExperimentResult, include_capture: bool = False) -> Dict[str, Any]:
+def _config_dict(config) -> Dict[str, Any]:
+    """A config in the JSON data model (tuples as lists, keys sorted), so an
+    in-memory dict equals its save/load round trip."""
+    return json.loads(config_json(config))
+
+
+def result_to_dict(
+    result: ExperimentResult,
+    include_capture: bool = False,
+    fingerprint: Optional[str] = None,
+) -> Dict[str, Any]:
     """Serialize one repetition (capture records optional — they are big)."""
     gaps = inter_packet_gaps(result.server_records)
     # One train-detection pass feeds both the histogram and the <=5 share.
@@ -31,13 +41,10 @@ def result_to_dict(result: ExperimentResult, include_capture: bool = False) -> D
         if train_total
         else 0.0
     )
-    # asdict keeps tuples (e.g. the impairment specs); normalize to the JSON
-    # data model so an in-memory dict equals its save/load round trip.
-    config_dict = json.loads(json.dumps(dataclasses.asdict(result.config)))
     out = {
-        "config": config_dict,
+        "config": _config_dict(result.config),
         "seed": result.seed,
-        "fingerprint": result.fingerprint(),
+        "fingerprint": result.fingerprint() if fingerprint is None else fingerprint,
         "completed": result.completed,
         "duration_ns": result.duration_ns,
         "goodput_mbps": result.goodput_mbps,
@@ -63,15 +70,16 @@ def result_to_dict(result: ExperimentResult, include_capture: bool = False) -> D
     return out
 
 
-def population_result_to_dict(result: PopulationResult) -> Dict[str, Any]:
+def population_result_to_dict(
+    result: PopulationResult, fingerprint: Optional[str] = None
+) -> Dict[str, Any]:
     """Serialize one population repetition: the aggregate evaluation view
     (distributions, fairness, competition matrix), never the per-flow
     capture — populations keep the capture columnar and in-memory only."""
-    config_dict = json.loads(json.dumps(dataclasses.asdict(result.config)))
     return {
-        "config": config_dict,
+        "config": _config_dict(result.config),
         "seed": result.seed,
-        "fingerprint": result.fingerprint(),
+        "fingerprint": result.fingerprint() if fingerprint is None else fingerprint,
         "completed": result.completed,
         "flows": len(result.multi.flows),
         "completed_flows": result.completed_count,
@@ -94,19 +102,20 @@ def population_result_to_dict(result: PopulationResult) -> Dict[str, Any]:
     }
 
 
-def rep_to_dict(result, include_capture: bool = False) -> Dict[str, Any]:
+def rep_to_dict(
+    result, include_capture: bool = False, fingerprint: Optional[str] = None
+) -> Dict[str, Any]:
     """Serialize one repetition of either kind (experiment or population).
 
     This is the *single* canonical JSON form of a repetition: the result
     store persists exactly this payload per row, so a store export and a
     JSON artifact of the same run are equal by construction.
+    ``fingerprint`` is ``result.fingerprint()`` when the caller already
+    computed it for this result (the sweep computes it once per rep).
     """
     if isinstance(result, PopulationResult):
-        return population_result_to_dict(result)
-    return result_to_dict(result, include_capture)
-
-
-_rep_to_dict = rep_to_dict  # backwards-compatible alias
+        return population_result_to_dict(result, fingerprint)
+    return result_to_dict(result, include_capture, fingerprint)
 
 
 def summary_to_dict(summary: RunSummary, include_capture: bool = False) -> Dict[str, Any]:
@@ -114,7 +123,7 @@ def summary_to_dict(summary: RunSummary, include_capture: bool = False) -> Dict[
         "label": summary.config.label,
         "goodput_mbps": {"mean": summary.goodput.mean, "std": summary.goodput.std},
         "dropped": {"mean": summary.dropped.mean, "std": summary.dropped.std},
-        "repetitions": [_rep_to_dict(r, include_capture) for r in summary.results],
+        "repetitions": [rep_to_dict(r, include_capture) for r in summary.results],
         # Failed repetitions ride along as structured records (never silently
         # dropped from the artifact): exception type, attempts, wall time.
         "failures": [f.as_dict() for f in summary.failures],

@@ -27,7 +27,6 @@ Hit/miss/store/eviction counters are kept on :attr:`stats`.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import tempfile
@@ -36,6 +35,7 @@ from pathlib import Path
 from typing import Optional, TextIO, Union
 
 from repro.framework.config import ExperimentConfig
+from repro.framework.digest import sha256_hex
 from repro.framework.experiment import ExperimentResult
 from repro.framework.population import PopulationResult
 
@@ -108,7 +108,7 @@ class ResultCache:
     def entry_key(config: ExperimentConfig, seed: int) -> str:
         """Per-repetition key: full config (repetitions normalized) + seed."""
         per_rep = replace(config, repetitions=1)
-        return hashlib.sha256(f"{per_rep.cache_key()}/{seed}".encode()).hexdigest()
+        return sha256_hex(f"{per_rep.cache_key()}/{seed}")
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"

@@ -8,12 +8,11 @@ simulation speed — see EXPERIMENTS.md) repeated N times.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.framework.digest import config_json, sha256_hex
 from repro.net.impairments import ImpairmentSpec
 from repro.units import SEC, gbit, mbit, mib, ms, seconds, us
 
@@ -179,10 +178,10 @@ class ExperimentConfig:
         adding a field can never silently alias two different configurations
         (the failure mode of hand-built label/field-list keys). The hash is a
         plain sha256 over the sorted-JSON form — stable across processes and
-        sessions, independent of ``PYTHONHASHSEED``.
+        sessions, independent of ``PYTHONHASHSEED``. The JSON is encoded
+        once per config (:func:`~repro.framework.digest.config_json`).
         """
-        payload = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return sha256_hex(config_json(self))
 
     def scaled(self, file_size: int, repetitions: Optional[int] = None) -> "ExperimentConfig":
         return replace(

@@ -14,15 +14,20 @@ server's pacing, not the shaper's.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cc.factory import make_cc
 from repro.errors import SimulationError
 from repro.framework.config import ExperimentConfig
+from repro.framework.digest import (
+    capture_rows,
+    config_json,
+    encode,
+    json_array,
+    object_sha256,
+)
 from repro.kernel.gso import GsoSegmenter
 from repro.kernel.qdisc import make_qdisc
 from repro.kernel.socket import UdpSocket
@@ -92,26 +97,31 @@ class ExperimentResult:
         worker counts, and cache hits. Two runs of the same (config, seed)
         must produce equal fingerprints regardless of serial/parallel/cached
         execution — the determinism test suite pins exactly that.
+
+        The bytes hashed are ``json.dumps(payload, sort_keys=True)`` of these
+        fields (config and records in ``asdict`` form), streamed member by
+        member by :mod:`repro.framework.digest`. Nothing memoizes the
+        digest: every call re-derives it from the result's current data.
         """
-        payload = {
-            "config": asdict(self.config),
-            "seed": self.seed,
-            "completed": self.completed,
-            "duration_ns": self.duration_ns,
-            "goodput_mbps": self.goodput_mbps,
-            "dropped": self.dropped,
-            "injected_drops": self.injected_drops,
-            "server_records": [asdict(r) for r in self.server_records],
-            "expected_send_log": self.expected_send_log,
-            "cwnd_trace": self.cwnd_trace,
-            "queue_trace": self.queue_trace,
-            "qdisc_stats": self.qdisc_stats,
-            "server_stats": self.server_stats,
-            "object_completion_ns": self.object_completion_ns,
-            "impairment_stats": self.impairment_stats,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
+        return object_sha256(
+            {
+                "config": config_json(self.config),
+                "seed": encode(self.seed),
+                "completed": encode(self.completed),
+                "duration_ns": encode(self.duration_ns),
+                "goodput_mbps": encode(self.goodput_mbps),
+                "dropped": encode(self.dropped),
+                "injected_drops": encode(self.injected_drops),
+                "server_records": json_array(capture_rows(self.server_records)),
+                "expected_send_log": encode(self.expected_send_log),
+                "cwnd_trace": encode(self.cwnd_trace),
+                "queue_trace": encode(self.queue_trace),
+                "qdisc_stats": encode(self.qdisc_stats),
+                "server_stats": encode(self.server_stats),
+                "object_completion_ns": encode(self.object_completion_ns),
+                "impairment_stats": encode(self.impairment_stats),
+            }
+        )
 
     def validate(self) -> None:
         """Check this result against the framework's conservation invariants.

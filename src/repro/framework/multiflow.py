@@ -33,16 +33,15 @@ still derived in one pass over the columns.
 from __future__ import annotations
 
 import gc
-import hashlib
-import json
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.cc.factory import make_cc
 from repro.framework.config import NetworkConfig
+from repro.framework.digest import encode, json_array, object_sha256
 from repro.kernel.gso import GsoSegmenter
 from repro.kernel.qdisc import make_qdisc
 from repro.kernel.qdisc.netem import NetemQdisc
@@ -121,6 +120,11 @@ class FlowSpec:
         return "/".join(parts)
 
 
+#: ``FlowSpec``'s field names in order: with every field a scalar, the dict
+#: of these is its ``asdict`` form, without ``asdict``'s deep copies.
+_SPEC_FIELDS = tuple(f.name for f in fields(FlowSpec))
+
+
 @dataclass
 class FlowResult:
     spec: FlowSpec
@@ -147,6 +151,22 @@ class FlowResult:
     def fct_ns(self) -> int:
         """Flow completion time (valid when ``completed``)."""
         return self.duration_ns
+
+
+def _flow_member(f: FlowResult) -> dict:
+    """One flow's entry in :meth:`MultiFlowResult.fingerprint`."""
+    return {
+        "spec": {name: getattr(f.spec, name) for name in _SPEC_FIELDS},
+        "completed": f.completed,
+        "duration_ns": f.duration_ns,
+        "goodput_mbps": f.goodput_mbps,
+        "bytes_received": f.bytes_received,
+        "dropped": f.dropped,
+        "injected_drops": f.injected_drops,
+        "ack_drops": f.ack_drops,
+        "wire_packets": f.wire_packets,
+        "start_ns": f.start_ns,
+    }
 
 
 @dataclass
@@ -207,36 +227,21 @@ class MultiFlowResult:
         ``capture_records=False`` must fingerprint identically to the same
         run with capture on).
         """
-        payload = {
-            "seed": self.seed,
-            "sim_time_ns": self.sim_time_ns,
-            "total_dropped": self.total_dropped,
-            "injected_drops": self.injected_drops,
-            "ack_drops": self.ack_drops,
-            "unrouted": self.unrouted,
-            "impairment_stats": self.impairment_stats,
-            "flows": [
-                {
-                    "spec": asdict(f.spec),
-                    "completed": f.completed,
-                    "duration_ns": f.duration_ns,
-                    "goodput_mbps": f.goodput_mbps,
-                    "bytes_received": f.bytes_received,
-                    "dropped": f.dropped,
-                    "injected_drops": f.injected_drops,
-                    "ack_drops": f.ack_drops,
-                    "wire_packets": f.wire_packets,
-                    "start_ns": f.start_ns,
-                }
-                for f in self.flows
-            ],
+        members = {
+            "seed": encode(self.seed),
+            "sim_time_ns": encode(self.sim_time_ns),
+            "total_dropped": encode(self.total_dropped),
+            "injected_drops": encode(self.injected_drops),
+            "ack_drops": encode(self.ack_drops),
+            "unrouted": encode(self.unrouted),
+            "impairment_stats": encode(self.impairment_stats),
+            "flows": json_array(encode(_flow_member(f)) for f in self.flows),
         }
         # Churn teardown accounting; omitted when zero so every pre-churn
         # golden fingerprint stays valid byte-for-byte.
         if self.drained:
-            payload["drained"] = self.drained
-        encoded = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
+            members["drained"] = encode(self.drained)
+        return object_sha256(members)
 
     def validate(self) -> None:
         """Check the multi-flow conservation invariants (see

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.framework.config import GSO_MODES, QDISCS, STACKS, NetworkConfig
+from repro.framework.digest import config_json, sha256_hex
 from repro.framework.multiflow import (
     MAX_FLOWS,
     FlowSpec,
@@ -190,11 +191,7 @@ class PopulationConfig:
         default value, so every pre-existing key (and the sweep caches built
         on them) stays valid.
         """
-        fields = asdict(self)
-        if not fields["churn"]:
-            del fields["churn"]
-        payload = json.dumps(fields, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return sha256_hex(config_json(self, drop=() if self.churn else ("churn",)))
 
 
 class FlowPopulation:

@@ -46,7 +46,7 @@ import json
 import pickle
 import time
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -54,6 +54,7 @@ import sqlite3
 
 from repro.errors import ConfigError
 from repro.framework.artifacts import rep_to_dict
+from repro.framework.digest import config_json, encode, sha256_hex
 from repro.framework.supervision import RepFailure
 from repro.metrics.gaps import Distribution
 from repro.metrics.precision import pacing_precision_ns
@@ -149,7 +150,7 @@ def per_rep_key(config) -> str:
     :meth:`repro.framework.cache.ResultCache.entry_key` (sans seed): growing
     a sweep from 5 to 20 repetitions keeps the first 5 rows' keys.
     """
-    return per_rep_key_from_dict(asdict(replace(config, repetitions=1)))
+    return sha256_hex(config_json(replace(config, repetitions=1)))
 
 
 def per_rep_key_from_dict(config_dict: Dict[str, Any]) -> str:
@@ -159,7 +160,7 @@ def per_rep_key_from_dict(config_dict: Dict[str, Any]) -> str:
     identically, so this equals :func:`per_rep_key` of the live config.
     """
     normalized = dict(config_dict, repetitions=1)
-    return hashlib.sha256(json.dumps(normalized, sort_keys=True).encode()).hexdigest()
+    return sha256_hex(encode(normalized))
 
 
 def _impairments_slug(network: Dict[str, Any]) -> str:
@@ -265,9 +266,15 @@ class ResultStore:
 
     # -- recording ---------------------------------------------------------
 
-    def record_result(self, name: str, rep: int, result) -> None:
-        """Insert (or idempotently re-insert) one successful repetition."""
-        payload = rep_to_dict(result)
+    def record_result(
+        self, name: str, rep: int, result, fingerprint: Optional[str] = None
+    ) -> None:
+        """Insert (or idempotently re-insert) one successful repetition.
+
+        ``fingerprint`` is ``result.fingerprint()`` when the caller already
+        has it (see :func:`~repro.framework.artifacts.rep_to_dict`).
+        """
+        payload = rep_to_dict(result, fingerprint=fingerprint)
         precision: Optional[float] = None
         expected = getattr(result, "expected_send_log", None)
         if expected and getattr(result, "server_records", None):

@@ -177,10 +177,11 @@ class SweepRunner:
                         cached = None
                 if cached is not None:
                     slots[name][rep] = cached
+                    fingerprint = self._fingerprint(cached, journal)
                     if journal is not None:
-                        journal.record_success(name, rep, seed, cached.fingerprint())
+                        journal.record_success(name, rep, seed, fingerprint)
                     if self.store is not None:
-                        self.store.record_result(name, rep, cached)
+                        self.store.record_result(name, rep, cached, fingerprint=fingerprint)
                     self._emit(name, config, rep, cached, cached_hit=True)
                 else:
                     pending.append(RepTask(name=name, config=config, rep=rep, seed=seed))
@@ -197,8 +198,8 @@ class SweepRunner:
                 slots[task.name][task.rep] = result
                 if self.cache is not None:
                     self.cache.put(task.config, result.seed, result)
+                fingerprint = self._fingerprint(result, journal)
                 if journal is not None:
-                    fingerprint = result.fingerprint()
                     prior = journal.get(task.name, task.rep)
                     if (
                         prior is not None
@@ -212,7 +213,7 @@ class SweepRunner:
                         )
                     journal.record_success(task.name, task.rep, task.seed, fingerprint)
                 if self.store is not None:
-                    self.store.record_result(task.name, task.rep, result)
+                    self.store.record_result(task.name, task.rep, result, fingerprint=fingerprint)
                 self._emit(task.name, task.config, task.rep, result, cached_hit=False)
 
             def on_failure(task: RepTask, failure: RepFailure) -> None:
@@ -229,6 +230,15 @@ class SweepRunner:
             name: summarize_results(config, slots[name], failures[name])
             for name, config in grid.items()
         }
+
+    def _fingerprint(self, result, journal: Optional[SweepJournal]) -> Optional[str]:
+        """The rep's digest, computed once for the journal and the store
+        together; ``None`` when neither is recording. Never kept on the
+        result, so a cached or transported result always re-derives it
+        from its own data."""
+        if journal is None and self.store is None:
+            return None
+        return result.fingerprint()
 
     def _emit_line(self, line: str) -> None:
         if self.stream is not None:

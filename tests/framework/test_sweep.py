@@ -1,9 +1,13 @@
 """SweepRunner: grid fan-out, serial/parallel determinism, progress lines."""
 
 import io
+import pickle
 
 from repro.framework.cache import ResultCache
 from repro.framework.config import ExperimentConfig
+from repro.framework.experiment import ExperimentResult
+from repro.framework.journal import SweepJournal
+from repro.framework.store import ResultStore
 from repro.framework.sweep import SweepRunner, resolve_workers, run_sweep
 from repro.units import kib
 
@@ -70,3 +74,44 @@ def test_rep_results_slot_into_rep_order():
     assert [r.seed for r in summary.results] == [
         derive_seed(cfg.seed, rep) for rep in range(3)
     ]
+
+
+def test_fingerprint_computed_once_per_rep_per_pass(tmp_path, monkeypatch):
+    """With cache, journal and store all recording, each pass digests every
+    rep exactly once, and the journal, the store and the result agree."""
+    calls = []
+    digest = ExperimentResult.fingerprint
+
+    def counted(self):
+        calls.append(self.seed)
+        return digest(self)
+
+    monkeypatch.setattr(ExperimentResult, "fingerprint", counted)
+    grid = {"quiche": ExperimentConfig(stack="quiche", file_size=kib(64), repetitions=3)}
+    cache = ResultCache(tmp_path / "cache")
+    journal_dir = tmp_path / "journal"
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        for hits in (0, 3):
+            calls.clear()
+            runner = SweepRunner(
+                backend="inprocess", cache=cache, store=store, journal_dir=journal_dir
+            )
+            results = runner.run(grid)["quiche"].results
+            assert cache.stats.hits == hits
+            assert sorted(calls) == sorted(r.seed for r in results)
+            calls.clear()
+            journal = SweepJournal.for_grid(journal_dir, grid)
+            rows = {row["rep"]: row["fingerprint"] for row in store.query()}
+            for rep, result in enumerate(results):
+                fingerprint = result.fingerprint()
+                assert journal.get("quiche", rep).fingerprint == fingerprint
+                assert rows[rep] == fingerprint
+
+    # A cached result carries no digest: one changed after unpickling
+    # digests differently instead of reusing a stale value.
+    entry = next((tmp_path / "cache").glob("*/*.pkl"))
+    _, cached = pickle.loads(entry.read_bytes())
+    before = cached.fingerprint()
+    assert before in rows.values()
+    cached.dropped += 1
+    assert cached.fingerprint() != before
